@@ -865,11 +865,12 @@ def _route_latency_section(snapshot: Dict[str, object]) -> Dict[str, object]:
         if not count:
             continue
         route = labelvalues[0] if labelvalues else ""
+        extremes = (data.get("min"), data.get("max"))
         routes[route] = {
             "count": count,
             "mean_ms": round(data["sum"] / count, 3),
-            "p50_ms": round(histogram_quantile(bounds, data["counts"], 0.5), 3),
-            "p99_ms": round(histogram_quantile(bounds, data["counts"], 0.99), 3),
+            "p50_ms": round(histogram_quantile(bounds, data["counts"], 0.5, *extremes), 3),
+            "p99_ms": round(histogram_quantile(bounds, data["counts"], 0.99, *extremes), 3),
             "bucket_counts": list(data["counts"]),
         }
     return {"buckets_ms": bounds, "routes": routes}

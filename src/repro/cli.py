@@ -798,8 +798,9 @@ def _format_top(snapshot, previous=None, elapsed: Optional[float] = None) -> str
             if not data["count"]:
                 continue
             route = labels[0] if labels else "?"
-            p50 = histogram_quantile(bounds, data["counts"], 0.5)
-            p99 = histogram_quantile(bounds, data["counts"], 0.99)
+            extremes = (data.get("min"), data.get("max"))
+            p50 = histogram_quantile(bounds, data["counts"], 0.5, *extremes)
+            p99 = histogram_quantile(bounds, data["counts"], 0.99, *extremes)
             lines.append(
                 f"{route:<14} {data['count']:>8} {rate(data['count'], prev_counts.get(tuple(labels), 0)):>8} "
                 f"{p50:>9.2f} {p99:>9.2f}"

@@ -605,6 +605,10 @@ class PHomSolver:
             )
             probability = plan.evaluate(precision=context, _warn=False)
         else:
+            if context.name == "exact" and isinstance(plan, ComponentPlan):
+                # Exact evaluation runs on the plan's tape: lower it here so
+                # the lowering is accounted (and persisted) like tape_for's.
+                self._lower_tape(plan, query, instance)
             probability = plan.evaluate(precision=context)
         return self._annotate_minimization(self._plan_result(plan, probability), query)
 
@@ -683,14 +687,20 @@ class PHomSolver:
         query = as_query_graph(query)
         self._validate_inputs(query, instance)
         validate_query_graph(query)
-        core = query_core(query) if self.minimize_queries else query
-        plan = self._plan_for(core, instance)
-        if not plan.has_tape():
-            plan.tape()
-            if self._plan_cache is not None:
-                key = canonical_query_key(core, minimize=self.minimize_queries)
-                self._plan_cache.note_tape(key, instance, plan)
+        plan = self._plan_for(query, instance)
+        self._lower_tape(plan, query, instance)
         return plan
+
+    def _lower_tape(
+        self, plan: CompiledPlan, query: DiGraph, instance: ProbabilisticGraph
+    ) -> None:
+        """Compile ``plan``'s tape if it has none, noting it in the plan cache."""
+        if plan.has_tape():
+            return
+        plan.tape()
+        if self._plan_cache is not None:
+            key = canonical_query_key(query, minimize=self.minimize_queries)
+            self._plan_cache.note_tape(key, instance, plan)
 
     def evaluate_many(
         self,
@@ -733,27 +743,30 @@ class PHomSolver:
             # Approx-mode solvers never brute-force, but they do need the
             # fallback plan (it carries the lineage the sampler runs on).
             allow_fallback = self.allow_brute_force or self.approximate
+        tracer = current_tracer()
         if self.minimize_queries:
             # The class-aware rewriting pass: classification and compilation
             # run on the homomorphic core, an equivalent (often smaller, and
             # sometimes polynomially dispatchable) query.  query_core (not
             # normalize) so the explicit sampling path, which validates
             # nothing, keeps accepting degenerate queries it can answer.
-            query = query_core(query)
+            with tracer.span("query.minimize"):
+                query = query_core(query)
         if self._plan_cache is None:
-            with current_tracer().span("plan.compile") as span:
+            with tracer.span("plan.compile") as span:
                 plan = self._compile_plan(query, instance, allow_fallback)
                 if span:
                     span.attrs["method"] = plan.method
                     span.attrs["cached"] = False
             return plan
-        key = canonical_query_key(query, minimize=self.minimize_queries)
-        with current_tracer().span("plan.lookup") as span:
+        with tracer.span("plan.key"):
+            key = canonical_query_key(query, minimize=self.minimize_queries)
+        with tracer.span("plan.lookup") as span:
             plan = self._plan_cache.lookup(key, instance)
             if span:
                 span.attrs["hit"] = plan is not None
         if plan is None:
-            with current_tracer().span("plan.compile") as span:
+            with tracer.span("plan.compile") as span:
                 plan = self._compile_plan(query, instance, allow_fallback)
                 if span:
                     span.attrs["method"] = plan.method

@@ -80,21 +80,27 @@ class _GaugeChild:
 
 
 class _HistogramChild:
-    """One labeled series of a :class:`Histogram`: bucket counts + sum."""
+    """One labeled series of a :class:`Histogram`: bucket counts, sum, extremes."""
 
-    __slots__ = ("counts", "sum", "count", "_bounds")
+    __slots__ = ("counts", "sum", "count", "min", "max", "_bounds")
 
     def __init__(self, bounds: Tuple[float, ...]) -> None:
         self._bounds = bounds
         self.counts = [0] * (len(bounds) + 1)  # last slot is +inf
         self.sum = 0.0
         self.count = 0
+        self.min = float("inf")
+        self.max = float("-inf")
 
     def observe(self, value: float) -> None:
         """Record one observation (bucketed by upper bound, inclusive)."""
         self.counts[bisect_left(self._bounds, value)] += 1
         self.sum += value
         self.count += 1
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
 
 class _Family:
@@ -223,6 +229,8 @@ class Histogram(_Family):
                         "counts": list(child.counts),
                         "sum": child.sum,
                         "count": child.count,
+                        "min": child.min if child.count else None,
+                        "max": child.max if child.count else None,
                     },
                 ]
                 for key, child in sorted(self._children.items())
@@ -289,7 +297,8 @@ class MetricsRegistry:
              "histograms": {name: {..., "buckets", "samples"}}}
 
         where each counter/gauge sample is ``[labelvalues, value]`` and each
-        histogram sample is ``[labelvalues, {"counts", "sum", "count"}]``.
+        histogram sample is ``[labelvalues, {"counts", "sum", "count",
+        "min", "max"}]`` (the extremes are ``None`` on an empty series).
         Snapshots are cheap (no locks — the registry is process-local by
         design) and are what crosses the worker reply pipes.
         """
@@ -317,6 +326,20 @@ def _merge_plain(target: Dict[str, Any], source: Dict[str, Any], summing: bool) 
             else:
                 merged[key] = value  # gauges: last snapshot wins
         mine["samples"] = [[list(k), merged[k]] for k in sorted(merged)]
+
+
+def _merge_extreme(ours: Dict[str, Any], theirs: Dict[str, Any], key: str, pick):
+    """One extreme of two merged samples (called before their counts sum).
+
+    An empty series is neutral; a non-empty one without the field (written
+    before extremes were tracked) makes the merged extreme unknown.
+    """
+    if not theirs["count"]:
+        return ours.get(key)
+    if not ours["count"]:
+        return theirs.get(key)
+    mine, other = ours.get(key), theirs.get(key)
+    return None if mine is None or other is None else pick(mine, other)
 
 
 def _merge_histograms(target: Dict[str, Any], source: Dict[str, Any]) -> None:
@@ -347,6 +370,8 @@ def _merge_histograms(target: Dict[str, Any], source: Dict[str, Any]) -> None:
                 ours["counts"] = [
                     a + b for a, b in zip(ours["counts"], sample["counts"])
                 ]
+                ours["min"] = _merge_extreme(ours, sample, "min", min)
+                ours["max"] = _merge_extreme(ours, sample, "max", max)
                 ours["sum"] += sample["sum"]
                 ours["count"] += sample["count"]
         mine["samples"] = [[list(k), merged[k]] for k in sorted(merged)]
@@ -396,7 +421,11 @@ def counter_total(snapshot: Dict[str, Any], name: str) -> float:
 
 
 def histogram_quantile(
-    bounds: Sequence[float], counts: Sequence[int], q: float
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    q: float,
+    minimum: Optional[float] = None,
+    maximum: Optional[float] = None,
 ) -> float:
     """Approximate the ``q``-quantile of a bucketed distribution.
 
@@ -405,7 +434,20 @@ def histogram_quantile(
     slot is the ``+inf`` overflow).  The estimate interpolates linearly
     inside the winning bucket, the standard Prometheus rule; an empty
     histogram yields ``0.0`` and the overflow bucket yields its lower bound.
+    ``minimum`` / ``maximum`` are the series' observed extremes (the
+    ``"min"`` / ``"max"`` of a snapshot sample); when given, the estimate
+    is clamped to them, so it never leaves the observed range — a single
+    observation reports itself at every quantile.
     """
+    estimate = _bucket_quantile(bounds, counts, q)
+    if minimum is not None:
+        estimate = max(estimate, minimum)
+    if maximum is not None:
+        estimate = min(estimate, maximum)
+    return estimate
+
+
+def _bucket_quantile(bounds: Sequence[float], counts: Sequence[int], q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
     total = sum(counts)

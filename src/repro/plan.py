@@ -283,13 +283,18 @@ class CompiledPlan:
         ``probabilities`` overrides the instance's live table (missing edges
         keep their instance value); keys may be :class:`Edge` objects or
         ``(source, target)`` pairs.  ``precision`` selects the numeric
-        backend, defaulting to the compiling solver's.
+        backend, defaulting to the compiling solver's.  Exact answers run
+        on the plan's flat tape (lowered on first use, see :meth:`tape`),
+        over integer lanes whenever the table's denominators allow it;
+        they are bit-identical to the object-graph evaluation.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
                 span.attrs["method"] = self.method
             context = self._context(precision)
             table = self._probability_table(probabilities, context)
+            if context.name == "exact":
+                return self.tape().evaluate(table, context)
             return self._evaluate_with(table, context)
 
     # -- tape lowering -------------------------------------------------

@@ -8,9 +8,10 @@ many drifted probability tables) pays that interpretation per valuation.
 This module lowers a plan one level further, to a :class:`PlanTape`: a flat
 register program over parallel arrays
 
-* ``opcodes`` / ``dsts`` / ``lhs`` / ``rhs`` — one entry per operation, in
-  dependency (topological) order, over a semiring-with-complement opcode set
-  (:data:`OP_COMPL`, :data:`OP_ADD`, :data:`OP_MUL`, :data:`OP_SUB`);
+* ``opcodes`` / ``dsts`` / ``lhs`` / ``rhs`` — compact ``array("i")`` op
+  arrays, one entry per operation, in dependency (topological) order, over
+  a semiring-with-complement opcode set (:data:`OP_COMPL`, :data:`OP_ADD`,
+  :data:`OP_MUL`, :data:`OP_SUB`);
 * a *constant pool* mapping register slots to exact
   :class:`~fractions.Fraction` constants;
 * an *edge-slot indirection*: which input register each instance edge's
@@ -22,6 +23,13 @@ batch of probability valuations in one structural pass, vectorizing each
 operation across the batch (with numpy when available on the float backend,
 behind the :func:`repro.numeric.numpy_module` seam; a dependency-free
 stdlib-list path otherwise and always in exact mode).
+
+A single exact valuation replays the tape on *integer lanes*
+(:meth:`PlanTape.evaluate_integer`): every slot holds a big-integer
+numerator over a power of one common denominator, the power fixed per slot
+by a static degree analysis, so no operation pays a gcd.  It falls back to
+:class:`~fractions.Fraction` lanes when the valuation's denominators do
+not all divide the largest one.
 
 How tapes are compiled
 ----------------------
@@ -62,6 +70,7 @@ True
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -89,6 +98,17 @@ OPCODE_NAMES = {OP_COMPL: "compl", OP_ADD: "add", OP_MUL: "mul", OP_SUB: "sub"}
 #: Accepted values of the ``backend=`` keyword on the batched entry points.
 TAPE_BACKENDS = ("auto", "stdlib", "numpy")
 
+#: ``array`` typecode of the op arrays: a C int (4 bytes) per entry, a
+#: quarter of what a tuple of Python int references costs.
+_OP_TYPECODE = "i"
+
+
+def _op_array(values) -> array:
+    """``values`` as a compact op array (tuples from older pickles too)."""
+    if isinstance(values, array) and values.typecode == _OP_TYPECODE:
+        return values
+    return array(_OP_TYPECODE, values)
+
 
 class _TapeBuilder:
     """Accumulates slots, constants, inputs and operations during lowering."""
@@ -98,14 +118,16 @@ class _TapeBuilder:
         self._const_slots: Dict[Fraction, int] = {}
         self.consts: List[Tuple[int, Fraction]] = []
         self.edge_slots: Dict[Edge, int] = {}
-        self.opcodes: List[int] = []
-        self.dsts: List[int] = []
-        self.lhs: List[int] = []
-        self.rhs: List[int] = []
+        self.opcodes = array(_OP_TYPECODE)
+        self.dsts = array(_OP_TYPECODE)
+        self.lhs = array(_OP_TYPECODE)
+        self.rhs = array(_OP_TYPECODE)
         #: Complement sharing: operand slot -> slot holding ``1 - operand``.
         self._compl_cache: Dict[int, int] = {}
         self.zero_slot = self.const_slot(Fraction(0))
         self.one_slot = self.const_slot(Fraction(1))
+        self.zero_ref = SlotRef(self, self.zero_slot)
+        self.one_ref = SlotRef(self, self.one_slot)
 
     # -- slot allocation ----------------------------------------------
     def _new_slot(self) -> int:
@@ -133,7 +155,8 @@ class _TapeBuilder:
 
     # -- op emission (with identity peepholes) ------------------------
     def _emit(self, opcode: int, a: int, b: int) -> int:
-        dst = self._new_slot()
+        dst = self.num_slots
+        self.num_slots = dst + 1
         self.opcodes.append(opcode)
         self.dsts.append(dst)
         self.lhs.append(a)
@@ -182,6 +205,13 @@ class _TapeBuilder:
         """Coerce a symbolic or literal operand to a :class:`SlotRef`."""
         if isinstance(value, SlotRef):
             return value
+        if type(value) is int:
+            # ``1 - x`` and friends: the identities are the literals the
+            # evaluators use most, so skip the Fraction and the pool lookup.
+            if value == 0:
+                return self.zero_ref
+            if value == 1:
+                return self.one_ref
         if isinstance(value, (int, Fraction)):
             return self.ref(self.const_slot(Fraction(value)))
         return None
@@ -204,10 +234,11 @@ class SlotRef:
         self.slot = slot
 
     def _binary(self, other: Any, emit) -> "SlotRef":
-        coerced = self.builder.as_ref(other)
-        if coerced is None:
-            return NotImplemented
-        return self.builder.ref(emit(self.slot, coerced.slot))
+        if type(other) is not SlotRef:
+            other = self.builder.as_ref(other)
+            if other is None:
+                return NotImplemented
+        return SlotRef(self.builder, emit(self.slot, other.slot))
 
     def __mul__(self, other: Any) -> "SlotRef":
         return self._binary(other, self.builder.mul)
@@ -258,10 +289,7 @@ def _symbolic_context(builder: _TapeBuilder) -> NumericContext:
         return ref
 
     return NumericContext(
-        name="symbolic",
-        zero=builder.ref(builder.zero_slot),
-        one=builder.ref(builder.one_slot),
-        convert=convert,
+        name="symbolic", zero=builder.zero_ref, one=builder.one_ref, convert=convert
     )
 
 
@@ -293,10 +321,10 @@ def compile_plan_tape(plan) -> "PlanTape":
         num_slots=builder.num_slots,
         consts=tuple(builder.consts),
         inputs=tuple(sorted(builder.edge_slots.items(), key=lambda item: item[1])),
-        opcodes=tuple(builder.opcodes),
-        dsts=tuple(builder.dsts),
-        lhs=tuple(builder.lhs),
-        rhs=tuple(builder.rhs),
+        opcodes=builder.opcodes,
+        dsts=builder.dsts,
+        lhs=builder.lhs,
+        rhs=builder.rhs,
         root=root.slot,
     )
 
@@ -341,30 +369,45 @@ class PlanTape:
         num_slots: int,
         consts: Tuple[Tuple[int, Fraction], ...],
         inputs: Tuple[Tuple[Edge, int], ...],
-        opcodes: Tuple[int, ...],
-        dsts: Tuple[int, ...],
-        lhs: Tuple[int, ...],
-        rhs: Tuple[int, ...],
+        opcodes: Sequence[int],
+        dsts: Sequence[int],
+        lhs: Sequence[int],
+        rhs: Sequence[int],
         root: int,
     ) -> None:
         self.num_slots = num_slots
         self.consts = consts
         self.inputs = inputs
-        self.opcodes = opcodes
-        self.dsts = dsts
-        self.lhs = lhs
-        self.rhs = rhs
+        self.opcodes = _op_array(opcodes)
+        self.dsts = _op_array(dsts)
+        self.lhs = _op_array(lhs)
+        self.rhs = _op_array(rhs)
         self.root = root
+        self._reset_derived()
+
+    def _reset_derived(self) -> None:
         #: Lazily packed level segments for the vectorized backend (see
-        #: :meth:`_packed_segments`); derived data, dropped from pickles.
+        #: :meth:`_packed_segments`), the edge -> slot map, and the static
+        #: degree analysis of the integer lanes (see :meth:`_degrees`):
+        #: derived data, dropped from pickles and rebuilt on demand.
         self._segments = None
         self._edge_slot_map: Optional[Dict[Edge, int]] = None
+        self._degree_memo = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_segments"] = None
         state["_edge_slot_map"] = None
+        state["_degree_memo"] = None
         return state
+
+    def __setstate__(self, state) -> None:
+        # Tapes pickled before the op arrays were compact carry tuples and
+        # no degree memo; both load, as the same program.
+        self.__dict__.update(state)
+        self._reset_derived()
+        for name in ("opcodes", "dsts", "lhs", "rhs"):
+            setattr(self, name, _op_array(getattr(self, name)))
 
     # ------------------------------------------------------------------
     # introspection
@@ -454,13 +497,119 @@ class PlanTape:
 
         ``probabilities`` must cover every edge in :attr:`inputs` (the
         plan-level :meth:`repro.plan.CompiledPlan.evaluate` builds such
-        tables from the live instance plus overrides).  Exact-mode results
-        are bit-identical to the object-graph evaluator.
+        tables from the live instance plus overrides).  Exact mode runs on
+        integer lanes when the table allows it (see
+        :meth:`evaluate_integer`) and on :class:`~fractions.Fraction`
+        lanes otherwise; either way the result is bit-identical to the
+        object-graph evaluator.
         """
         context = resolve_context(precision)
+        if context.name == "exact":
+            value = self.evaluate_integer(probabilities)
+            if value is not None:
+                return value
         values = self._load(probabilities, context)
         self._run(values)
         return values[self.root]
+
+    # -- integer lanes (exact mode) ------------------------------------
+    def _degrees(self) -> Tuple[array, int, Tuple[int, ...], Tuple[int, ...]]:
+        """The static degree analysis of the integer lanes (memoised).
+
+        A slot of degree ``k`` holds ``n / D**k`` as the integer ``n``, for
+        the valuation's common denominator ``D``: inputs and non-integer
+        constants have degree 1, the integer constants 0 and 1 degree 0,
+        ``mul`` adds its operands' degrees, ``add``/``sub`` take the larger
+        one and ``compl`` keeps its operand's.  Returns the per-op
+        exponents (``add``/``sub``: ``deg(rhs) - deg(lhs)``, the operand
+        to rescale and by how much; ``compl``: ``deg(lhs)``; ``mul``: 0),
+        the root's degree, the distinct exponents in use (each valuation
+        computes ``D**k`` once for exactly these), and the denominators of
+        the non-integer constants.
+        """
+        if self._degree_memo is None:
+            degree = array(_OP_TYPECODE, bytes(4 * self.num_slots))
+            const_denominators = set()
+            for slot, value in self.consts:
+                if value.denominator != 1:
+                    degree[slot] = 1
+                    const_denominators.add(value.denominator)
+            for _edge, slot in self.inputs:
+                degree[slot] = 1
+            shifts = array(_OP_TYPECODE, bytes(4 * len(self.opcodes)))
+            for index, (opcode, dst, a, b) in enumerate(
+                zip(self.opcodes, self.dsts, self.lhs, self.rhs)
+            ):
+                da = degree[a]
+                if opcode == OP_MUL:
+                    degree[dst] = da + degree[b]
+                elif opcode == OP_COMPL:
+                    degree[dst] = da
+                    shifts[index] = da
+                else:
+                    db = degree[b]
+                    degree[dst] = da if da > db else db
+                    shifts[index] = db - da
+            self._degree_memo = (
+                shifts,
+                degree[self.root],
+                tuple(sorted(set(map(abs, shifts)))),
+                tuple(sorted(const_denominators)),
+            )
+        return self._degree_memo
+
+    def evaluate_integer(self, probabilities: Mapping[Edge, Number]) -> Optional[Fraction]:
+        """One exact valuation on integer lanes, or ``None`` if it does not fit.
+
+        Every slot is held as an integer numerator over a power of one
+        common denominator ``D`` (the largest denominator among the inputs
+        and constants), so the replay does no gcd work at all; the root
+        ``n / D**deg`` becomes a single :class:`~fractions.Fraction` at the
+        end, equal to — hence bit-identical with — the ``Fraction`` replay.
+        This only pays when the denominators share one ``D``, so it runs
+        only when every input and constant denominator divides the largest
+        one (``k/8`` tables, decimals, float-derived ``m/2**k``) and
+        returns ``None`` otherwise — e.g. one distinct prime denominator
+        per edge, where ``D**deg`` would grow with every edge.
+        """
+        shifts, root_degree, exponents, const_denominators = self._degrees()
+        loaded = []
+        denominators = set(const_denominators)
+        for edge, slot in self.inputs:
+            value = probabilities[edge]
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            loaded.append((slot, value))
+            denominators.add(value.denominator)
+        common = max(denominators, default=1)
+        for denominator in denominators:
+            if common % denominator:
+                return None
+        registers: List[int] = [0] * self.num_slots
+        for slot, value in self.consts:
+            if value.denominator == 1:
+                registers[slot] = value.numerator
+            else:
+                registers[slot] = value.numerator * (common // value.denominator)
+        for slot, value in loaded:
+            registers[slot] = value.numerator * (common // value.denominator)
+        powers = {exponent: common**exponent for exponent in exponents}
+        for opcode, dst, a, b, shift in zip(
+            self.opcodes, self.dsts, self.lhs, self.rhs, shifts
+        ):
+            if opcode == OP_MUL:
+                registers[dst] = registers[a] * registers[b]
+            elif opcode == OP_COMPL:
+                registers[dst] = powers[shift] - registers[a]
+            else:
+                x = registers[a]
+                y = registers[b]
+                if shift > 0:
+                    x *= powers[shift]
+                elif shift < 0:
+                    y *= powers[-shift]
+                registers[dst] = x + y if opcode == OP_ADD else x - y
+        return Fraction(registers[self.root], common ** root_degree)
 
     def evaluate_many(
         self,

@@ -159,6 +159,52 @@ class TestHistogramQuantile:
         with pytest.raises(ValueError):
             histogram_quantile((1.0,), [1, 0], 1.5)
 
+    @staticmethod
+    def _quantiles(snapshot, name="t_ms"):
+        family = snapshot["histograms"][name]
+        sample = family["samples"][0][1]
+        return [
+            histogram_quantile(
+                family["buckets"], sample["counts"], q, sample["min"], sample["max"]
+            )
+            for q in (0.5, 0.99)
+        ]
+
+    def test_single_observation_reports_itself_also_after_a_merge(self):
+        # A lone 60.1 ms sample lands in the (32.8, 65.5] bucket, whose
+        # interpolated median is 49.2 ms; the observed extremes pin it.
+        registry = MetricsRegistry()
+        registry.histogram("t_ms").observe(60.1)
+        snapshot = registry.snapshot()
+        assert self._quantiles(snapshot) == [60.1, 60.1]
+        empty = MetricsRegistry()
+        empty.histogram("t_ms").labels()  # a series with no observations
+        merged = merge_snapshots([empty.snapshot(), snapshot, empty.snapshot()])
+        assert self._quantiles(merged) == [60.1, 60.1]
+
+    def test_merge_keeps_the_extremes_of_every_snapshot(self):
+        snapshots = []
+        for value in (3.0, 60.1, 0.2):
+            registry = MetricsRegistry()
+            registry.histogram("t_ms").observe(value)
+            snapshots.append(registry.snapshot())
+        sample = merge_snapshots(snapshots)["histograms"]["t_ms"]["samples"][0][1]
+        assert (sample["min"], sample["max"]) == (0.2, 60.1)
+        assert json.loads(json.dumps(sample)) == sample
+
+    def test_snapshots_without_extremes_merge_to_unknown_extremes(self):
+        # A series written before extremes were tracked may hold any value:
+        # the merged extremes are unknown and the quantile stays unclamped.
+        registry = MetricsRegistry()
+        registry.histogram("t_ms").observe(60.1)
+        legacy = registry.snapshot()
+        for _labels, sample in legacy["histograms"]["t_ms"]["samples"]:
+            del sample["min"], sample["max"]
+        merged = merge_snapshots([registry.snapshot(), legacy])
+        sample = merged["histograms"]["t_ms"]["samples"][0][1]
+        assert (sample["min"], sample["max"]) == (None, None)
+        assert self._quantiles(merged)[0] == pytest.approx(49.152)
+
 
 class TestNullTracer:
     def test_disabled_path_is_inert(self):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import errno
 import os
 import pickle
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -30,9 +31,11 @@ from repro.persist import (
     plan_store_key,
     scan_wal,
 )
+from repro.numeric import EXACT
 from repro.persist.wal import WAL_MAGIC
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.service import DiskFaultInjector, Fault, FaultPlan
+from repro.tape import PlanTape
 from repro.workloads.generators import attach_random_probabilities, make_instance
 
 
@@ -469,6 +472,70 @@ class TestTapePersistence:
                                      "failures": {}}
         (row,) = verifier.inspect()
         assert row["tape"] is True
+
+    def test_tape_pickled_with_tuple_op_arrays_still_loads(self, tmp_path, monkeypatch):
+        # Store entries written before tapes kept compact ``array`` op
+        # arrays and a memoised degree analysis hold tuple op arrays and no
+        # degree field; they must load and answer bit-identically.  The
+        # patched __getstate__ below is the older one, so the entry's bytes
+        # are the ones the older code wrote.
+        instance = build_instance(191)
+        query = build_query(192)
+        plan = PHomSolver().compile(query, instance)
+        tape = plan.tape()
+        old_state = {
+            "num_slots": tape.num_slots,
+            "consts": tape.consts,
+            "inputs": tape.inputs,
+            "opcodes": tuple(tape.opcodes),
+            "dsts": tuple(tape.dsts),
+            "lhs": tuple(tape.lhs),
+            "rhs": tuple(tape.rhs),
+            "root": tape.root,
+            "_segments": None,
+            "_edge_slot_map": None,
+        }
+        old_tape = object.__new__(PlanTape)
+        old_tape.__dict__.update(old_state)
+
+        def old_getstate(self):
+            state = dict(self.__dict__)
+            state["_segments"] = None
+            state["_edge_slot_map"] = None
+            return state
+
+        plan._tape = old_tape
+        store = PlanStore(str(tmp_path / "plans"))
+        digest = instance_digest(instance)
+        with monkeypatch.context() as patch:
+            patch.setattr(PlanTape, "__getstate__", old_getstate)
+            store.put("key", digest, "ns", plan)
+        plan._tape = tape
+        loaded = store.get("key", digest, "ns")
+        assert loaded.has_tape() and loaded.tape().num_ops() == tape.num_ops()
+        assert all(
+            isinstance(getattr(loaded.tape(), name), array)
+            for name in ("opcodes", "dsts", "lhs", "rhs")
+        )
+
+        def oracle(overrides=None, context=EXACT):
+            table = dict(context.instance_probabilities(instance))
+            for edge, value in (overrides or {}).items():
+                table[edge] = context.convert(value)
+            return plan._evaluate_with(table, context)
+
+        got = loaded.evaluate()
+        assert type(got) is Fraction and got == oracle()
+        batches = tape_batches(instance, 191)
+        assert loaded.evaluate_many(batches) == [oracle(b) for b in batches]
+        assert loaded.evaluate_many(batches, precision="float") == \
+            plan.evaluate_many(batches, precision="float")
+        evaluator = loaded.tape_evaluator()
+        applied = {}
+        for index, edge in enumerate(sorted(instance.graph.edges())[:5]):
+            applied[edge] = Fraction(index + 1, 13)
+            assert evaluator.update(edge, applied[edge]) == oracle(applied)
+
 
 
 # ----------------------------------------------------------------------

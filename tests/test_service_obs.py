@@ -96,6 +96,26 @@ class TestTracedService:
         assert "worker.solve" in names
         assert "plan.compile" in names
 
+    def test_uncached_solve_times_minimization_and_keying(self, tmp_path):
+        sink = str(tmp_path / "trace.jsonl")
+        with QueryService(
+            num_workers=0, trace_sample_rate=1.0, trace_path=sink
+        ) as service:
+            inst = service.register_instance(build_instance(12))
+            (result,) = service.submit_many(
+                [ServiceRequest(trace_queries(12, 1)[0], inst)]
+            )
+        assert not result.error
+        records = read_trace(sink)
+        assert validate_trace(records) == []
+        by_id = {record["span"]: record for record in records}
+        (solve,) = [r for r in records if r["name"] == "worker.solve"]
+        assert not solve["attrs"].get("cached")
+        for name in ("query.minimize", "plan.key"):
+            (span,) = [r for r in records if r["name"] == name]
+            assert by_id[span["parent"]] is solve
+            assert name in result.timing
+
     def test_pool_run_parents_worker_spans_under_dispatch(self, tmp_path):
         sink = str(tmp_path / "trace.jsonl")
         queries = trace_queries(13, 6)

@@ -31,6 +31,7 @@ from repro.exceptions import (
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import Edge
+from repro.numeric import EXACT
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.tape import (
@@ -473,3 +474,198 @@ class TestStatsHygiene:
     def test_stats_dict_exposes_tape_compiles(self):
         solver = PHomSolver()
         assert "tape_compiles" in solver.plan_cache.stats
+
+
+# ----------------------------------------------------------------------
+# exact answers on integer lanes
+# ----------------------------------------------------------------------
+#: (route, query class, instance class, labeled, solver kwargs, plan method):
+#: one entry per dispatch route whose exact answers replay the tape.
+INTEGER_LANE_ROUTES = [
+    ("labeled-1wp-kmp", GraphClass.ONE_WAY_PATH, GraphClass.DOWNWARD_TREE, True, {},
+     "labeled-dwt"),
+    ("labeled-2wp-interval", GraphClass.TWO_WAY_PATH, GraphClass.UNION_TWO_WAY_PATH,
+     True, {}, "connected-2wp"),
+    ("labeled-dwt-kmp", GraphClass.ONE_WAY_PATH, GraphClass.UNION_DOWNWARD_TREE, True,
+     {}, "labeled-dwt"),
+    ("graded-collapse", GraphClass.DOWNWARD_TREE, GraphClass.UNION_DOWNWARD_TREE, False,
+     {"minimize_queries": False}, "graded-collapse"),
+    ("polytree-dp", GraphClass.ONE_WAY_PATH, GraphClass.POLYTREE, False, {},
+     "polytree-dp"),
+    ("automaton", GraphClass.DOWNWARD_TREE, GraphClass.POLYTREE, False,
+     {"prefer": "automaton"}, "polytree-automaton"),
+]
+INTEGER_LANE_IDS = [route[0] for route in INTEGER_LANE_ROUTES]
+
+
+def integer_lane_case(route: int, instance_size: int = 14):
+    """(workload, plan, rng) on one INTEGER_LANE_ROUTES entry.
+
+    Random labeled queries sometimes miss the instance's labels and compile
+    to a constant; redraw (deterministically) until the route is the one
+    under test.
+    """
+    _name, query_class, instance_class, labeled, kwargs, method = (
+        INTEGER_LANE_ROUTES[route]
+    )
+    rng = random.Random(SEED + 100 + route)
+    for _attempt in range(50):
+        workload = workload_for_cell(
+            query_class, instance_class, labeled,
+            query_size=3, instance_size=instance_size, rng=rng,
+        )
+        plan = PHomSolver(**kwargs).compile(workload.query, workload.instance)
+        # A root in the constant pool (e.g. a query longer than every
+        # instance path) would not read the probabilities at all.
+        if plan.method == method:
+            tape = plan.tape()
+            if tape.root not in dict(tape.consts):
+                return workload, plan, rng
+    raise AssertionError(f"no {method} plan drawn for route {route}")
+
+
+def object_graph(plan, probabilities=None):
+    """The oracle: the plan's object-graph evaluation, never the tape."""
+    table = dict(plan.instance.probabilities_view())
+    for key, value in (probabilities or {}).items():
+        table[plan._resolve_edge(key)] = Fraction(value)
+    return plan._evaluate_with(table, EXACT)
+
+
+def assert_exact_match(got, plan, probabilities=None):
+    want = object_graph(plan, probabilities)
+    assert type(got) is Fraction
+    assert got == want
+
+
+class TestIntegerLanes:
+    @pytest.mark.parametrize("route", range(len(INTEGER_LANE_ROUTES)), ids=INTEGER_LANE_IDS)
+    def test_route_matches_object_graph_on_full_tables(self, route):
+        workload, plan, rng = integer_lane_case(route)
+        tape = plan.tape()
+        for table in random_tables(workload.instance, rng, 8):
+            # k/16 tables (0 and 1 included) share a common denominator.
+            assert tape.evaluate_integer(table) is not None
+            assert_exact_match(plan.evaluate(table), plan, table)
+
+    @pytest.mark.parametrize("route", range(len(INTEGER_LANE_ROUTES)), ids=INTEGER_LANE_IDS)
+    def test_certain_and_impossible_edges(self, route):
+        workload, plan, rng = integer_lane_case(route)
+        edges = workload.instance.edges()
+        for table in (
+            {edge: Fraction(0) for edge in edges},
+            {edge: Fraction(1) for edge in edges},
+            {edge: Fraction(rng.randint(0, 1)) for edge in edges},
+        ):
+            assert_exact_match(plan.evaluate(table), plan, table)
+
+    @pytest.mark.parametrize("route", range(len(INTEGER_LANE_ROUTES)), ids=INTEGER_LANE_IDS)
+    def test_override_tables(self, route):
+        workload, plan, rng = integer_lane_case(route)
+        edges = workload.instance.edges()
+        for _ in range(6):
+            chosen = rng.sample(edges, min(3, len(edges)))
+            overrides = {
+                (edge.source, edge.target): random_probability(rng) for edge in chosen
+            }
+            overrides[chosen[0]] = "3/8"  # Edge keys and strings are accepted too
+            assert_exact_match(plan.evaluate(overrides), plan, overrides)
+        assert_exact_match(plan.evaluate(), plan)
+
+    @pytest.mark.parametrize("route", range(len(INTEGER_LANE_ROUTES)), ids=INTEGER_LANE_IDS)
+    def test_set_probability_between_solves(self, route):
+        workload, plan, rng = integer_lane_case(route)
+        _name, _qc, _ic, _labeled, kwargs, _method = INTEGER_LANE_ROUTES[route]
+        instance = workload.instance
+        solver = PHomSolver(**kwargs)
+        for _ in range(6):
+            edge = rng.choice(instance.edges())
+            instance.set_probability(edge, random_probability(rng))
+            result = solver.solve(workload.query, instance)
+            assert result.method == plan.method
+            assert_exact_match(result.probability, plan)
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
+
+    @pytest.mark.parametrize("route", range(len(INTEGER_LANE_ROUTES)), ids=INTEGER_LANE_IDS)
+    def test_float_derived_fractions(self, route):
+        workload, plan, rng = integer_lane_case(route)
+        table = {edge: Fraction(rng.random()) for edge in workload.instance.edges()}
+        # Denominators are powers of two, so the largest is a common one.
+        assert plan.tape().evaluate_integer(table) is not None
+        assert_exact_match(plan.evaluate(table), plan, table)
+
+    @pytest.mark.parametrize("route", range(len(INTEGER_LANE_ROUTES)), ids=INTEGER_LANE_IDS)
+    def test_coprime_denominators_take_the_fraction_lanes(self, route, monkeypatch):
+        from repro.tape import PlanTape
+
+        workload, plan, _rng = integer_lane_case(route)
+        primes = [p for p in range(3, 400) if all(p % d for d in range(2, p))]
+        table = {
+            edge: Fraction(1, prime)
+            for edge, prime in zip(workload.instance.edges(), primes)
+        }
+        tape = plan.tape()
+        assert tape.evaluate_integer(table) is None
+        runs = []
+        original = PlanTape._run
+
+        def counting_run(self, values):
+            runs.append(self)
+            return original(self, values)
+
+        monkeypatch.setattr(PlanTape, "_run", counting_run)
+        assert_exact_match(plan.evaluate(table), plan, table)
+        assert runs == [tape]
+
+    def test_mixed_degree_operands_and_constants(self):
+        # Every route's DP is homogeneous (add/sub operands of equal degree),
+        # so the rescaling branches and non-integer constants are pinned on
+        # a hand-built tape: slot 2 holds 1/2, slot 3 the integer 2.
+        from repro.tape import OP_ADD, OP_MUL, OP_SUB, PlanTape
+
+        e, f, g = (Edge(name, name + "'", "R") for name in "efg")
+        ops = [
+            (OP_MUL, 7, 4, 5),    # e*f            degree 2
+            (OP_ADD, 8, 7, 6),    # e*f + g        rhs rescaled
+            (OP_ADD, 9, 6, 7),    # g + e*f        lhs rescaled
+            (OP_SUB, 10, 7, 6),   # e*f - g        rhs rescaled
+            (OP_SUB, 11, 6, 7),   # g - e*f        lhs rescaled
+            (OP_COMPL, 12, 7, 7), # 1 - e*f        degree 2
+            (OP_MUL, 13, 2, 12),  # (1/2)(1 - e*f) degree 3
+            (OP_MUL, 14, 3, 9),   # 2(g + e*f)     degree 2
+            (OP_ADD, 15, 13, 14),
+            (OP_SUB, 16, 15, 8),
+            (OP_ADD, 17, 16, 10),
+            (OP_ADD, 18, 17, 11),
+            (OP_ADD, 19, 18, 3),  # + 2            degree-0 operand
+        ]
+        opcodes, dsts, lhs, rhs = (list(column) for column in zip(*ops))
+        consts = ((0, Fraction(0)), (1, Fraction(1)), (2, Fraction(1, 2)), (3, Fraction(2)))
+        tape = PlanTape(20, consts, ((e, 4), (f, 5), (g, 6)), opcodes, dsts, lhs, rhs, 19)
+        rng = random.Random(SEED)
+        for denominator in (1, 2, 8, 10, 2**60):
+            # e carries the full denominator, so it is the common one.
+            table = {
+                e: Fraction(1, denominator),
+                f: Fraction(rng.randint(0, denominator), denominator),
+                g: Fraction(rng.randint(0, denominator), denominator),
+            }
+            values = tape._load(table, EXACT)
+            tape._run(values)
+            got = tape.evaluate_integer(table)
+            assert type(got) is Fraction and got == values[19]
+        # A constant denominator that the inputs' largest one does not
+        # divide: 1/2 against thirds.
+        assert tape.evaluate_integer({e: Fraction(1, 3), f: Fraction(2, 3), g: 1}) is None
+        assert tape.evaluate({e: Fraction(1, 3), f: Fraction(2, 3), g: 1}) == Fraction(65, 18)
+
+    @pytest.mark.parametrize("route", [2, 4], ids=["labeled-dwt-kmp", "polytree-dp"])
+    def test_thousand_edge_instance(self, route):
+        workload, plan, rng = integer_lane_case(route, instance_size=1010)
+        edges = workload.instance.edges()
+        assert len(edges) >= 1000
+        table = {edge: Fraction(rng.randint(1, 15), 16) for edge in edges}
+        got = plan.evaluate(table)
+        assert_exact_match(got, plan, table)
+        assert 0 < got < 1  # no certain edge: a non-trivial rational
