@@ -582,7 +582,11 @@ class PHomSolver:
         approx: Optional[ApproxParams] = None,
     ) -> PHomResult:
         plan = self._plan_for(
-            query, instance, allow_fallback=True if approx is not None else None
+            query,
+            instance,
+            allow_fallback=True if approx is not None else None,
+            # Exact answers run on the plan's tape (CompiledPlan.evaluate).
+            lower_tape=context.name == "exact",
         )
         if isinstance(plan, FallbackPlan):
             if approx is not None:
@@ -605,10 +609,6 @@ class PHomSolver:
             )
             probability = plan.evaluate(precision=context, _warn=False)
         else:
-            if context.name == "exact" and isinstance(plan, ComponentPlan):
-                # Exact evaluation runs on the plan's tape: lower it here so
-                # the lowering is accounted (and persisted) like tape_for's.
-                self._lower_tape(plan, query, instance)
             probability = plan.evaluate(precision=context)
         return self._annotate_minimization(self._plan_result(plan, probability), query)
 
@@ -687,20 +687,7 @@ class PHomSolver:
         query = as_query_graph(query)
         self._validate_inputs(query, instance)
         validate_query_graph(query)
-        plan = self._plan_for(query, instance)
-        self._lower_tape(plan, query, instance)
-        return plan
-
-    def _lower_tape(
-        self, plan: CompiledPlan, query: DiGraph, instance: ProbabilisticGraph
-    ) -> None:
-        """Compile ``plan``'s tape if it has none, noting it in the plan cache."""
-        if plan.has_tape():
-            return
-        plan.tape()
-        if self._plan_cache is not None:
-            key = canonical_query_key(query, minimize=self.minimize_queries)
-            self._plan_cache.note_tape(key, instance, plan)
+        return self._plan_for(query, instance, lower_tape=True)
 
     def evaluate_many(
         self,
@@ -738,7 +725,15 @@ class PHomSolver:
         query: DiGraph,
         instance: ProbabilisticGraph,
         allow_fallback: Optional[bool] = None,
+        lower_tape: bool = False,
     ) -> CompiledPlan:
+        """The cached (or freshly compiled and stored) plan for the pair.
+
+        With ``lower_tape`` a tractable plan also has its tape lowered: a
+        fresh plan before its store write, so the plan is keyed and
+        persisted once, tape included; a cached plan without a tape through
+        :meth:`~repro.plan.PlanCache.note_tape`.
+        """
         if allow_fallback is None:
             # Approx-mode solvers never brute-force, but they do need the
             # fallback plan (it carries the lineage the sampler runs on).
@@ -770,11 +765,18 @@ class PHomSolver:
                 plan = self._compile_plan(query, instance, allow_fallback)
                 if span:
                     span.attrs["method"] = plan.method
+            if lower_tape and not isinstance(plan, FallbackPlan):
+                plan.tape()
             self._plan_cache.store(key, instance, plan)
-        elif isinstance(plan, FallbackPlan) and not allow_fallback:
-            # A FallbackPlan cached by an approx call must not change what a
-            # non-sampling caller observes: same error as on a cold cache.
-            raise ClassConstraintError(_HARD_CELL_MESSAGE)
+        elif isinstance(plan, FallbackPlan):
+            if not allow_fallback:
+                # A FallbackPlan cached by an approx call must not change
+                # what a non-sampling caller observes: same error as on a
+                # cold cache.
+                raise ClassConstraintError(_HARD_CELL_MESSAGE)
+        elif lower_tape and not plan.has_tape():
+            plan.tape()
+            self._plan_cache.note_tape(key, instance, plan)
         return plan
 
     def _compile_plan(

@@ -745,11 +745,17 @@ class PlanCache:
     def store(
         self, query_key: Hashable, instance: ProbabilisticGraph, plan: CompiledPlan
     ) -> None:
-        """Insert a freshly compiled plan, evicting LRU entries over capacity."""
+        """Insert a freshly compiled plan, evicting LRU entries over capacity.
+
+        A plan stored with its tape already lowered also counts one tape
+        compile (see :meth:`note_tape`).
+        """
         key = (query_key, id(instance))
         self._entries[key] = plan
         self._entries.move_to_end(key)
         self.compiles += 1
+        if plan.has_tape():
+            self.tape_compiles += 1
         while len(self._entries) > self.maxsize:
             evicted_key, evicted_plan = self._entries.popitem(last=False)
             self.evictions += 1

@@ -155,8 +155,7 @@ class _TapeBuilder:
 
     # -- op emission (with identity peepholes) ------------------------
     def _emit(self, opcode: int, a: int, b: int) -> int:
-        dst = self.num_slots
-        self.num_slots = dst + 1
+        dst = self._new_slot()
         self.opcodes.append(opcode)
         self.dsts.append(dst)
         self.lhs.append(a)
@@ -234,11 +233,10 @@ class SlotRef:
         self.slot = slot
 
     def _binary(self, other: Any, emit) -> "SlotRef":
-        if type(other) is not SlotRef:
-            other = self.builder.as_ref(other)
-            if other is None:
-                return NotImplemented
-        return SlotRef(self.builder, emit(self.slot, other.slot))
+        coerced = self.builder.as_ref(other)
+        if coerced is None:
+            return NotImplemented
+        return self.builder.ref(emit(self.slot, coerced.slot))
 
     def __mul__(self, other: Any) -> "SlotRef":
         return self._binary(other, self.builder.mul)

@@ -431,6 +431,21 @@ class TestTapePersistence:
         assert store.stats["puts"] == puts_before + 1
         assert len(entry_files(tmp_path / "plans")) == 1  # refreshed, not duplicated
 
+    def test_cold_exact_solve_writes_plan_once_with_tape(self, tmp_path):
+        # Exact solves answer from the tape, so a fresh plan is lowered
+        # before its first store write instead of being re-put afterwards.
+        instance = build_instance(161)
+        query = build_query(162)
+        solver = PHomSolver(plan_store=str(tmp_path / "plans"))
+        solver.solve(query, instance)
+        solver.solve(query, instance)
+        store = solver.plan_cache.plan_store
+        (row,) = store.inspect()
+        assert row["tape"] is True
+        assert store.stats["puts"] == 1
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
+
     def test_warm_restart_loads_tape_without_recompiling(self, tmp_path):
         instance = build_instance(171)
         query = build_query(172)

@@ -56,12 +56,21 @@ PLAN_ROUTES = [
 FLOAT_TOLERANCE = 1e-9
 
 
+def object_graph(plan, probabilities=None):
+    """The oracle: the plan's object-graph evaluation, never the tape."""
+    table = dict(plan.instance.probabilities_view())
+    for key, value in (probabilities or {}).items():
+        table[plan._resolve_edge(key)] = Fraction(value)
+    return plan._evaluate_with(table, EXACT)
+
+
 def fresh_exact(query, instance):
-    """The ground truth: a cache-less exact solve."""
-    solver = PHomSolver(plan_cache_size=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntractableFallbackWarning)
-        return solver.solve(query, instance).probability
+    """The ground truth: a cache-less compile, evaluated on its object graph.
+
+    Exact ``solve`` answers from the plan's tape, so the oracle evaluates a
+    freshly compiled plan's object graph instead.
+    """
+    return object_graph(PHomSolver(plan_cache_size=0).compile(query, instance))
 
 
 def random_probability(rng: random.Random) -> Fraction:
@@ -127,7 +136,7 @@ class TestTapeVsObjectGraph:
         assert plan.has_tape()
         for step, table in enumerate(random_tables(workload.instance, rng, 8)):
             got = tape.evaluate(table)
-            want = plan.evaluate(table)
+            want = object_graph(plan, table)
             assert got == want, f"route {route} diverged on table {step}"
 
     @pytest.mark.parametrize("route", range(len(PLAN_ROUTES)))
@@ -141,8 +150,8 @@ class TestTapeVsObjectGraph:
 
     @pytest.mark.parametrize("route", range(len(PLAN_ROUTES)))
     def test_tape_matches_fresh_solve(self, route):
-        # Transitivity guard: the tape must agree with a from-scratch exact
-        # solve, not merely with the (shared-ancestry) object-graph plan.
+        # Transitivity guard: the tape must agree with a from-scratch
+        # compile's object graph, not merely with its own plan's.
         workload, plan, _rng = route_plan(route)
         tape = plan.tape()
         table = dict(workload.instance.probabilities_view())
@@ -152,7 +161,7 @@ class TestTapeVsObjectGraph:
         workload, plan, rng = graded_collapse_plan()
         tape = plan.tape()
         for table in random_tables(workload.instance, rng, 8):
-            assert tape.evaluate(table) == plan.evaluate(table)
+            assert tape.evaluate(table) == object_graph(plan, table)
 
     def test_constant_plan_lowers_to_inputless_tape(self):
         rng = random.Random(SEED)
@@ -522,14 +531,6 @@ def integer_lane_case(route: int, instance_size: int = 14):
             if tape.root not in dict(tape.consts):
                 return workload, plan, rng
     raise AssertionError(f"no {method} plan drawn for route {route}")
-
-
-def object_graph(plan, probabilities=None):
-    """The oracle: the plan's object-graph evaluation, never the tape."""
-    table = dict(plan.instance.probabilities_view())
-    for key, value in (probabilities or {}).items():
-        table[plan._resolve_edge(key)] = Fraction(value)
-    return plan._evaluate_with(table, EXACT)
 
 
 def assert_exact_match(got, plan, probabilities=None):
